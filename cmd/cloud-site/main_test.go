@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -44,7 +45,7 @@ func TestCloudSiteFreeRunServesNativeAndOperatorPlanes(t *testing.T) {
 	if _, err := r.Usage(); err != nil {
 		t.Fatalf("operator usage route: %v", err)
 	}
-	st, err := r.Clock()
+	st, err := r.Clock(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCloudSitePushFollow(t *testing.T) {
 	defer s.Close()
 
 	r := cloudapi.NewRemote(s.name, s.stack, s.url, nil)
-	if err := r.ClockSync(sim.Time(2 * sim.Minute)); err != nil {
+	if err := r.ClockSync(context.Background(), sim.Time(2*sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return s.engine.Now() >= sim.Time(2*sim.Minute) },

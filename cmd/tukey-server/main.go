@@ -61,6 +61,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -338,7 +339,7 @@ func newServer(opt options) (*server, error) {
 		usageRemotes = append(usageRemotes, remote)
 		members = append(members, telemetry.Member{Name: p.name, URL: p.url})
 		mode := "unknown"
-		st, clockErr := remote.Clock()
+		st, clockErr := remote.Clock(context.Background())
 		if clockErr == nil {
 			mode = st.Mode
 			if st.Mode == cloudapi.ClockFollow.String() && opt.clockSync > 0 {

@@ -12,6 +12,7 @@
 package billing
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -120,50 +121,10 @@ type Biller struct {
 	// pollDeadline. Set during setup (SetPollDeadline).
 	deadline time.Duration
 
-	// The delta-poll machinery, built once at construction and reused
-	// every minute-tick (the per-poll slot/task allocations used to be the
-	// poller's only steady-state garbage). slots carry results across the
-	// fanout boundary; prior holds each cloud's maintained usage snapshot
-	// plus the revision to ask for next — touched only on the
-	// clock-driving goroutine. gen stamps each poll so a task abandoned by
-	// an earlier deadline cannot write a stale result into a later poll's
-	// slot.
-	slots []pollSlot
-	tasks []func()
-	prior []cloudUsageState
-	gen   uint64
-}
-
-// pollSlot is one cloud's result cell, reused across polls. The mutex
-// exists because an abandoned task may try to write late; gen matching
-// makes that write a no-op.
-type pollSlot struct {
-	mu    sync.Mutex
-	gen   uint64 // poll generation the task was armed for
-	since int64  // revision the task should poll with
-	d     cloudapi.UsageDelta
-	err   error
-}
-
-// cloudUsageState is one cloud's maintained per-user snapshot: the delta
-// poller's accumulator. Only the clock-driving goroutine touches it.
-type cloudUsageState struct {
-	since  int64
-	byUser map[string]cloudapi.UserUsage
-}
-
-// apply folds a delta into the snapshot.
-func (st *cloudUsageState) apply(d cloudapi.UsageDelta) {
-	if d.Reset || st.byUser == nil {
-		st.byUser = make(map[string]cloudapi.UserUsage, len(d.Changed))
-	}
-	for user, v := range d.Changed {
-		st.byUser[user] = v
-	}
-	for _, user := range d.Removed {
-		delete(st.byUser, user)
-	}
-	st.since = d.Rev
+	// prior holds each cloud's maintained usage snapshot plus the
+	// revision to ask for next — touched only on the clock-driving
+	// goroutine.
+	prior []cloudapi.UsageView
 }
 
 // DaysPerCycle is the billing month (30 days).
@@ -181,24 +142,7 @@ func New(e *sim.Engine, rates Rates, clouds []cloudapi.CloudAPI, storage Storage
 	for _, c := range clouds {
 		b.errByCloud[c.Name()] = new(int64)
 	}
-	b.slots = make([]pollSlot, len(clouds))
-	b.prior = make([]cloudUsageState, len(clouds))
-	b.tasks = make([]func(), len(clouds))
-	for i, c := range clouds {
-		i, c := i, c
-		b.tasks[i] = func() {
-			s := &b.slots[i]
-			s.mu.Lock()
-			gen, since := s.gen, s.since
-			s.mu.Unlock()
-			d, err := c.UsageSince(since)
-			s.mu.Lock()
-			if s.gen == gen { // a later poll may have re-armed the slot
-				s.d, s.err = d, err
-			}
-			s.mu.Unlock()
-		}
-	}
+	b.prior = make([]cloudapi.UsageView, len(clouds))
 	b.pollMin = e.Every(sim.Minute, b.pollVMs)
 	b.pollDay = e.Every(sim.Day, b.pollStorage)
 	b.pollMon = e.Every(DaysPerCycle*sim.Day, b.closeCycle)
@@ -272,10 +216,10 @@ func (sh *usageShard) user(u string) *Usage {
 const pollWorkers = 8
 
 // pollDeadline is the wall budget one cloud's Usage sample gets before the
-// poll abandons the wait (half the Remote client's own timeout, so the
-// poll surfaces a hung site well before the transport gives up). An
-// abandoned sample is counted as a poll error against that cloud; its
-// late result is discarded.
+// poll stops waiting for it (half the Remote client's own timeout, so the
+// poll surfaces a hung site well before the transport gives up). A
+// sample past its deadline is counted as a poll error against that cloud
+// and never applied.
 const pollDeadline = cloudapi.DefaultTimeout / 2
 
 // pollVMs samples every cloud: one sample = one minute of the user's
@@ -292,48 +236,35 @@ const pollDeadline = cloudapi.DefaultTimeout / 2
 // snapshot before accruing from it — a steady-state tick over an
 // unchanged grid ships an empty delta instead of the full per-user map.
 // The first poll (since 0) and any rev reset arrive as full snapshots.
-// An errored or abandoned sample leaves the prior snapshot and rev
-// untouched and accrues nothing for that cloud, exactly as a failed full
-// fetch did: the missed churn is re-sent next poll because deltas carry
-// absolute values.
+// Each cloud's sample settles once per poll (fanout.Each): its delta, its
+// error, or fanout.ErrDeadline. An errored or late sample leaves the
+// prior snapshot and rev untouched and accrues nothing for that cloud,
+// exactly as a failed full fetch did: the missed churn is re-sent next
+// poll because deltas carry absolute values. The tasks read their since
+// revs from a copy taken before the round, never from prior, which this
+// goroutine rewrites while a late task may still be starting.
 func (b *Biller) pollVMs() {
-	b.gen++
-	for i := range b.slots {
-		s := &b.slots[i]
-		s.mu.Lock()
-		s.gen, s.since = b.gen, b.prior[i].since
-		s.err = errPollAbandoned
-		s.mu.Unlock()
+	since := make([]int64, len(b.prior))
+	for i := range b.prior {
+		since[i] = b.prior[i].Rev
 	}
-	completed := fanout.Each(pollWorkers, b.deadline, b.tasks)
+	results := fanout.Each(pollWorkers, b.deadline, len(b.clouds), func(_ context.Context, i int) (cloudapi.UsageDelta, error) {
+		return b.clouds[i].UsageSince(since[i])
+	})
 	atomic.AddInt64(&b.Polls, 1)
 	for i, c := range b.clouds {
-		if !completed[i] {
-			atomic.AddInt64(&b.PollErrors, 1)
-			atomic.AddInt64(b.errByCloud[c.Name()], 1)
-			continue
-		}
-		s := &b.slots[i]
-		s.mu.Lock()
-		d, err := s.d, s.err
-		s.mu.Unlock()
-		if err != nil {
+		if results[i].Err != nil {
 			atomic.AddInt64(&b.PollErrors, 1)
 			atomic.AddInt64(b.errByCloud[c.Name()], 1)
 			continue
 		}
 		st := &b.prior[i]
-		st.apply(d)
-		for user, v := range st.byUser {
+		st.Apply(results[i].Val)
+		for user, v := range st.ByUser {
 			b.accrueCores(user, v.Cores)
 		}
 	}
 }
-
-// errPollAbandoned pre-fills a slot each poll so a slot whose task never
-// ran (or wrote only in a previous generation) reads as a failure, never
-// as a stale success.
-var errPollAbandoned = fmt.Errorf("billing: poll abandoned before the sample returned")
 
 // pollStorage samples each user's stored GB once a day.
 func (b *Biller) pollStorage() {

@@ -1,11 +1,14 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,14 +47,14 @@ func TestClockPlaneFreeRunSite(t *testing.T) {
 	defer site.Close()
 	r := site.Remote()
 
-	st, err := r.Clock()
+	st, err := r.Clock(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Mode != "free-run" || st.Now != 0 {
 		t.Fatalf("clock status = %+v, want free-run at 0", st)
 	}
-	if err := r.ClockSync(100); !errors.Is(err, ErrFreeRunning) {
+	if err := r.ClockSync(context.Background(), 100); !errors.Is(err, ErrFreeRunning) {
 		t.Fatalf("sync against free-run site: %v, want ErrFreeRunning", err)
 	}
 	if site.Follower() != nil {
@@ -72,7 +75,7 @@ func TestClockPlaneFollowSite(t *testing.T) {
 	defer site.Close()
 	r := site.Remote()
 
-	if err := r.ClockSync(sim.Time(5 * sim.Minute)); err != nil {
+	if err := r.ClockSync(context.Background(), sim.Time(5*sim.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return e.Now() >= sim.Time(5*sim.Minute) },
@@ -80,7 +83,7 @@ func TestClockPlaneFollowSite(t *testing.T) {
 	if now := e.Now(); now != sim.Time(5*sim.Minute) {
 		t.Fatalf("followed site overshot the target: %v", now)
 	}
-	st, err := r.Clock()
+	st, err := r.Clock(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,4 +202,102 @@ func TestCoordinatorBoundsSkew(t *testing.T) {
 	if coord.MaxSkew() <= 0 {
 		t.Fatal("coordinator observed no skew at all; measurement is broken")
 	}
+}
+
+// lateClock is a followed site whose clock read hangs past every round
+// deadline, ignoring ctx, and answers only once released: with an error,
+// or (succeed) with a reading, after which it accepts the push.
+type lateClock struct {
+	succeed bool
+	release chan struct{}
+	settled atomic.Int64 // late answers delivered, push included
+}
+
+func (f *lateClock) Name() string { return "late-site" }
+
+func (f *lateClock) Clock(context.Context) (ClockStatus, error) {
+	<-f.release
+	if !f.succeed {
+		defer f.settled.Add(1)
+		return ClockStatus{}, errors.New("late clock read failed")
+	}
+	return ClockStatus{Mode: ClockFollow.String()}, nil
+}
+
+func (f *lateClock) ClockSync(context.Context, sim.Time) error {
+	defer f.settled.Add(1)
+	return nil
+}
+
+// TestCoordinatorSettlesLateSiteOnce is the clock double-count
+// regression: a site that misses the round deadline counts exactly one
+// error for that round, and its late answer — an error, or a reading
+// followed by an accepted push — adds neither a second error, nor a sync,
+// nor a push time.
+func TestCoordinatorSettlesLateSiteOnce(t *testing.T) {
+	for _, succeed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("succeed=%v", succeed), func(t *testing.T) {
+			site := &lateClock{succeed: succeed, release: make(chan struct{})}
+			coord := StartClockCoordinator(sim.NewEngine(1), 200*time.Millisecond, site)
+			waitUntil(t, 5*time.Second, func() bool { return coord.Stats()[0].Errors >= 1 },
+				"hung site never missed a round")
+			coord.Stop()
+			rounds := coord.Stats()[0].Errors
+
+			close(site.release)
+			waitUntil(t, 5*time.Second, func() bool { return site.settled.Load() == rounds },
+				"late answers never arrived")
+			// The late answers are in; give any stray accounting they
+			// trigger time to land before reading the verdict.
+			for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+				st := coord.Stats()[0]
+				if st.Errors != rounds || st.Syncs != 0 {
+					t.Fatalf("after %d missed rounds: %d errors, %d syncs; want %d, 0",
+						rounds, st.Errors, st.Syncs, rounds)
+				}
+				coord.mu.Lock()
+				_, pushed := coord.lastPush[site.Name()]
+				coord.mu.Unlock()
+				if pushed {
+					t.Fatal("a late push was recorded as the site's last push")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestCoordinatorCancelsHungClockPlane: a site whose clock plane never
+// answers has its request cancelled at the round deadline, not left to
+// the client's 10 s timeout, and every goroutine the round started exits.
+func TestCoordinatorCancelsHungClockPlane(t *testing.T) {
+	const interval = 200 * time.Millisecond // per-site deadline: 100 ms
+	const deadline, slack = 100 * time.Millisecond, 500 * time.Millisecond
+	cancelled := make(chan time.Duration, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		<-r.Context().Done()
+		select {
+		case cancelled <- time.Since(start):
+		default:
+		}
+	}))
+	defer hung.Close()
+	base := runtime.NumGoroutine()
+
+	coord := StartClockCoordinator(sim.NewEngine(1), interval, NewRemote("hung-plane", "openstack", hung.URL, nil))
+	select {
+	case waited := <-cancelled:
+		if waited > deadline+slack {
+			t.Errorf("clock read cancelled after %v, want within %v", waited, deadline+slack)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("hung clock read was never cancelled")
+	}
+	coord.Stop()
+	if st := coord.Stats()[0]; st.Errors < 1 || st.Syncs != 0 {
+		t.Errorf("hung site stats = %+v, want errors and no syncs", st)
+	}
+	waitUntil(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= base },
+		"goroutines never returned to their pre-round baseline")
 }

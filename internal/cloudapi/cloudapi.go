@@ -90,6 +90,31 @@ type UsageDelta struct {
 	TotalCores int                  `json:"total_cores"`
 }
 
+// UsageView is a delta consumer's maintained copy of one cloud's per-user
+// usage: the snapshot plus the revision to ask UsageSince for next. The
+// zero value holds nothing and asks for since 0 (a full snapshot). It is
+// not safe for concurrent use.
+type UsageView struct {
+	Rev    int64
+	ByUser map[string]UserUsage
+}
+
+// Apply folds a delta into the view: a Reset (or a view holding nothing
+// yet) starts from an empty population, Changed overwrites, Removed
+// deletes, and Rev advances to the delta's.
+func (v *UsageView) Apply(d UsageDelta) {
+	if d.Reset || v.ByUser == nil {
+		v.ByUser = make(map[string]UserUsage, len(d.Changed))
+	}
+	for user, u := range d.Changed {
+		v.ByUser[user] = u
+	}
+	for _, user := range d.Removed {
+		delete(v.ByUser, user)
+	}
+	v.Rev = d.Rev
+}
+
 // CloudAPI is one attached cloud as the federation services see it.
 //
 // Implementations must be safe for concurrent use: Tukey HTTP handlers,

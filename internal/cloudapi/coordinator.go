@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
@@ -11,14 +12,15 @@ import (
 
 // ClockSyncTarget is one followed site as the coordinator sees it: a named
 // clock plane reachable over some transport. *Remote implements it; tests
-// may substitute in-process fakes.
+// may substitute in-process fakes. The coordinator cancels ctx when the
+// site misses its round deadline.
 type ClockSyncTarget interface {
 	Name() string
 	// Clock reads the site's current virtual time.
-	Clock() (ClockStatus, error)
+	Clock(ctx context.Context) (ClockStatus, error)
 	// ClockSync publishes a target virtual time (ErrFreeRunning if the
 	// site does not follow).
-	ClockSync(target sim.Time) error
+	ClockSync(ctx context.Context, target sim.Time) error
 }
 
 // SkewSample is one coordinator observation of one site's clock.
@@ -66,8 +68,10 @@ type SkewStats struct {
 // Pushes fan out concurrently over a bounded worker pool (ROADMAP:
 // coordinator fan-out): at dozens of sites a sequential round-robin would
 // eat the interval, so each round gives every site half the sync interval
-// and abandons (and counts as an error) any site still unanswered — the
-// push may still land late, which the follower tolerates by design.
+// and cancels any site still unanswered. Each site settles once per
+// round: the round's observations are recorded after the pool returns,
+// and a site that missed the deadline counts exactly one error and
+// nothing else, whatever its cancelled sync does afterwards.
 type ClockCoordinator struct {
 	engine   *sim.Engine
 	interval time.Duration
@@ -114,11 +118,6 @@ func (c *ClockCoordinator) loop() {
 	defer close(c.done)
 	tick := time.NewTicker(c.interval)
 	defer tick.Stop()
-	tasks := make([]func(), len(c.targets))
-	for i, t := range c.targets {
-		t := t
-		tasks[i] = func() { c.syncOne(t) }
-	}
 	// Per-site deadline: half the sync interval, floored at 100 ms. The
 	// deadline exists to keep a *hung* site from eating the round, not to
 	// penalize ordinary HTTP jitter — at the millisecond-scale intervals
@@ -133,63 +132,74 @@ func (c *ClockCoordinator) loop() {
 		case <-c.stop:
 			return
 		case <-tick.C:
-			completed := fanout.Each(c.workers, deadline, tasks)
-			for i, ok := range completed {
-				if !ok {
-					// The abandoned push may still land; the error marks
-					// that this round couldn't confirm it in time.
-					c.countError(c.targets[i].Name())
-				}
-			}
+			c.round(deadline)
 		}
 	}
 }
 
+// observation is what one site's sync task saw: whether its clock
+// answered, and the console time and skew at that moment.
+type observation struct {
+	read bool     // the site's clock answered
+	now  sim.Time // console time at observation, pushed as the target
+	skew float64  // console − site at observation
+}
+
+// round syncs every target through the pool, then records each site's
+// settled outcome: skew if its clock was read, then one Syncs or one
+// Errors.
+func (c *ClockCoordinator) round(deadline time.Duration) {
+	results := fanout.Each(c.workers, deadline, len(c.targets), func(ctx context.Context, i int) (observation, error) {
+		return c.syncOne(ctx, c.targets[i])
+	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, r := range results {
+		name := c.targets[i].Name()
+		s := c.stats[name]
+		if r.Val.read {
+			c.record(s, name, r.Val)
+		}
+		if r.Err != nil {
+			s.Errors++
+			continue
+		}
+		s.Syncs++
+		c.lastPush[name] = r.Val.now
+	}
+}
+
 // syncOne observes one site's clock against the authoritative engine, then
-// pushes the engine's current time as the site's next target.
-func (c *ClockCoordinator) syncOne(t ClockSyncTarget) {
-	name := t.Name()
-	st, err := t.Clock()
+// pushes the engine's current time as the site's next target. A failed
+// push still returns the observation it made.
+func (c *ClockCoordinator) syncOne(ctx context.Context, t ClockSyncTarget) (observation, error) {
+	st, err := t.Clock(ctx)
 	if err != nil {
-		c.countError(name)
-		return
+		return observation{}, err
 	}
 	// Sample the authoritative clock after the site answered: anything the
 	// console engine gained during the read round trip is charged to the
 	// observation, never credited to the site.
 	now := c.engine.Now()
-	c.record(name, float64(now)-st.Now, now)
-	if err := t.ClockSync(now); err != nil {
-		c.countError(name)
-		return
-	}
-	c.mu.Lock()
-	c.stats[name].Syncs++
-	c.lastPush[name] = now
-	c.mu.Unlock()
+	obs := observation{read: true, now: now, skew: float64(now) - st.Now}
+	return obs, t.ClockSync(ctx, now)
 }
 
-func (c *ClockCoordinator) countError(name string) {
-	c.mu.Lock()
-	c.stats[name].Errors++
-	c.mu.Unlock()
-}
-
-func (c *ClockCoordinator) record(name string, skew float64, now sim.Time) {
+// record folds one clock observation into s, against the site's previous
+// push. Callers hold c.mu.
+func (c *ClockCoordinator) record(s *SkewStats, name string, o observation) {
+	skew := o.skew
 	if skew < 0 {
 		// A site can only appear ahead by measurement race (its clock was
 		// read before ours); clamp rather than report negative skew.
 		skew = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats[name]
 	s.LastSkew = skew
 	if skew > s.MaxSkew {
 		s.MaxSkew = skew
 	}
 	if prev, ok := c.lastPush[name]; ok {
-		if excess := skew - float64(now-prev); excess > s.MaxExcess {
+		if excess := skew - float64(o.now-prev); excess > s.MaxExcess {
 			s.MaxExcess = excess
 		}
 	}

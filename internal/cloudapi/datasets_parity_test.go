@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -227,7 +228,7 @@ func TestOperatorPlaneAuth(t *testing.T) {
 	// Secret-bearing clients pass on both planes.
 	cr := NewRemote("auth-site", "openstack", hs.URL, nil)
 	cr.SetOperatorSecret("hunter2")
-	if err := cr.ClockSync(10); err != nil {
+	if err := cr.ClockSync(context.Background(), 10); err != nil {
 		t.Fatalf("authenticated clock sync: %v", err)
 	}
 	if err := cr.SetQuota("u", iaas.Quota{MaxInstances: 2, MaxCores: 2}); err != nil {

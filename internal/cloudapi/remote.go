@@ -1,6 +1,7 @@
 package cloudapi
 
 import (
+	"context"
 	"encoding/json"
 	"encoding/xml"
 	"errors"
@@ -36,14 +37,13 @@ type Remote struct {
 	secret   string // X-OSDC-Operator header on operator-plane writes
 
 	// usageMu guards the delta-maintained usage snapshot: Usage() fetches
-	// the full sample once, then advances it with UsageSince(lastRev)
+	// the full sample once, then advances it with UsageSince(usage.Rev)
 	// round trips that carry only the churn — the wire-side half of the
 	// incremental accounting path. A Reset delta (site restarted) rebuilds
-	// the snapshot from the delta's full population.
-	usageMu   sync.Mutex
-	usageSnap map[string]UserUsage
-	usageRev  int64
-	haveUsage bool
+	// the snapshot from the delta's full population. usage.ByUser is nil
+	// until the first full fetch and after a dropped delta.
+	usageMu sync.Mutex
+	usage   UsageView
 
 	// deltaHits counts Usage() calls advanced by a since-rev delta;
 	// deltaResets counts cache drops that forced a full resync — the
@@ -101,8 +101,8 @@ func ProbeRemote(endpoint string, client *http.Client) (*Remote, error) {
 func (r *Remote) SetOperatorSecret(secret string) { r.secret = secret }
 
 // operatorPost issues one operator-plane write with the secret header.
-func (r *Remote) operatorPost(path, payload string) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodPost, r.endpoint+path, strings.NewReader(payload))
+func (r *Remote) operatorPost(ctx context.Context, path, payload string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.endpoint+path, strings.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -442,8 +442,12 @@ func (r *Remote) ec2Images(user string) ([]Image, error) {
 
 // --- the operator plane (JSON, stack-independent) ---
 
-func (r *Remote) operatorGet(path string, into interface{}) (int, error) {
-	resp, err := r.client.Get(r.endpoint + path)
+func (r *Remote) operatorGet(ctx context.Context, path string, into interface{}) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.endpoint+path, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -505,7 +509,7 @@ func (r *Remote) Flavors() ([]iaas.Flavor, error) {
 	var body struct {
 		Flavors []iaas.Flavor `json:"flavors"`
 	}
-	status, err := r.operatorGet("/cloudapi/flavors", &body)
+	status, err := r.operatorGet(context.Background(), "/cloudapi/flavors", &body)
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +522,7 @@ func (r *Remote) Flavors() ([]iaas.Flavor, error) {
 // Instance implements CloudAPI via the operator plane.
 func (r *Remote) Instance(id string) (Instance, error) {
 	var inst Instance
-	status, err := r.operatorGet("/cloudapi/instance?id="+url.QueryEscape(id), &inst)
+	status, err := r.operatorGet(context.Background(), "/cloudapi/instance?id="+url.QueryEscape(id), &inst)
 	if err != nil {
 		return Instance{}, err
 	}
@@ -534,7 +538,7 @@ func (r *Remote) Instance(id string) (Instance, error) {
 // SetQuota implements CloudAPI via the operator plane.
 func (r *Remote) SetQuota(user string, q iaas.Quota) error {
 	payload := fmt.Sprintf(`{"user":%q,"max_instances":%d,"max_cores":%d}`, user, q.MaxInstances, q.MaxCores)
-	resp, err := r.operatorPost("/cloudapi/quota", payload)
+	resp, err := r.operatorPost(context.Background(), "/cloudapi/quota", payload)
 	if err != nil {
 		return err
 	}
@@ -547,9 +551,9 @@ func (r *Remote) SetQuota(user string, q iaas.Quota) error {
 
 // Clock reads the site's clock plane: the site engine's current virtual
 // time, mode, and (follow mode) newest target.
-func (r *Remote) Clock() (ClockStatus, error) {
+func (r *Remote) Clock(ctx context.Context) (ClockStatus, error) {
 	var st ClockStatus
-	status, err := r.operatorGet("/cloudapi/clock", &st)
+	status, err := r.operatorGet(ctx, "/cloudapi/clock", &st)
 	if err != nil {
 		return ClockStatus{}, err
 	}
@@ -562,9 +566,9 @@ func (r *Remote) Clock() (ClockStatus, error) {
 // ClockSync publishes a target virtual time on the site's clock plane. A
 // free-running site answers 409, surfaced as ErrFreeRunning so a
 // coordinator can tell "does not follow" from "unreachable".
-func (r *Remote) ClockSync(target sim.Time) error {
+func (r *Remote) ClockSync(ctx context.Context, target sim.Time) error {
 	payload := fmt.Sprintf(`{"target":%g}`, float64(target))
-	resp, err := r.operatorPost("/cloudapi/clock", payload)
+	resp, err := r.operatorPost(ctx, "/cloudapi/clock", payload)
 	if err != nil {
 		return err
 	}
@@ -587,62 +591,40 @@ func (r *Remote) ClockSync(target sim.Time) error {
 func (r *Remote) Usage() (Usage, error) {
 	r.usageMu.Lock()
 	defer r.usageMu.Unlock()
-	if r.haveUsage {
-		if d, err := r.UsageSince(r.usageRev); err == nil {
+	if r.usage.ByUser != nil {
+		if d, err := r.UsageSince(r.usage.Rev); err == nil {
 			r.deltaHits.Add(1)
-			r.applyDelta(d)
+			r.usage.Apply(d)
 			return r.snapshotUsage(d.UsedCores, d.TotalCores), nil
 		}
 		// The delta path failed (site unreachable, or it restarted with a
 		// rev behind ours and rejected the since) — drop the snapshot and
 		// resync in full below.
 		r.deltaResets.Add(1)
-		r.haveUsage = false
-		r.usageSnap = nil
+		r.usage = UsageView{}
 	}
 	var u Usage
-	status, err := r.operatorGet("/cloudapi/usage", &u)
+	status, err := r.operatorGet(context.Background(), "/cloudapi/usage", &u)
 	if err != nil {
 		return Usage{}, err
 	}
 	if status != http.StatusOK {
 		return Usage{}, fmt.Errorf("cloudapi: %s usage returned %d", r.name, status)
 	}
-	r.usageRev = u.Rev
-	r.usageSnap = make(map[string]UserUsage, len(u.ByUser))
-	for user, v := range u.ByUser {
-		r.usageSnap[user] = v
-	}
-	r.haveUsage = true
+	r.usage.Apply(UsageDelta{Rev: u.Rev, Changed: u.ByUser, Reset: true})
 	return u, nil
-}
-
-// applyDelta folds one UsageSince result into the cached snapshot.
-// Callers hold usageMu.
-func (r *Remote) applyDelta(d UsageDelta) {
-	if d.Reset {
-		r.usageSnap = make(map[string]UserUsage, len(d.Changed))
-	}
-	for user, v := range d.Changed {
-		r.usageSnap[user] = v
-	}
-	for _, user := range d.Removed {
-		delete(r.usageSnap, user)
-	}
-	r.usageRev = d.Rev
-	r.haveUsage = true
 }
 
 // snapshotUsage copies the cached per-user map into a fresh Usage so
 // callers never alias the cache. Callers hold usageMu.
 func (r *Remote) snapshotUsage(usedCores, totalCores int) Usage {
 	u := Usage{
-		Rev:        r.usageRev,
-		ByUser:     make(map[string]UserUsage, len(r.usageSnap)),
+		Rev:        r.usage.Rev,
+		ByUser:     make(map[string]UserUsage, len(r.usage.ByUser)),
 		UsedCores:  usedCores,
 		TotalCores: totalCores,
 	}
-	for user, v := range r.usageSnap {
+	for user, v := range r.usage.ByUser {
 		u.ByUser[user] = v
 	}
 	return u

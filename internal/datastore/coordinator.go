@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -273,26 +274,23 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	// reads only the churn since. A plane that cannot serve the delta
 	// route falls back to a full List (treated as a Reset snapshot).
 	// Index i maps results to sites, so the fan-out stays deterministic.
-	type listing struct {
-		delta Delta
-		err   error
+	// The tasks read private copies: Detach rewrites c.sites in place, and
+	// a task cut off at its deadline may still be starting.
+	sites := append([]API(nil), c.sites...)
+	since := make([]int64, len(sites))
+	for i, s := range sites {
+		since[i] = c.knownRev[s.Name()]
 	}
-	listings := make([]listing, len(c.sites))
-	tasks := make([]func(), len(c.sites))
-	for i, s := range c.sites {
-		i, s := i, s
-		since := c.knownRev[s.Name()]
-		tasks[i] = func() {
-			listings[i].delta, listings[i].err = s.ListSince(since)
-			if listings[i].err == nil {
-				return
-			}
-			if reps, err := s.List(); err == nil {
-				listings[i].delta, listings[i].err = Delta{Changed: reps, Reset: true}, nil
-			}
+	listings := fanout.Each(c.workers, c.siteDeadline, len(sites), func(_ context.Context, i int) (Delta, error) {
+		d, err := sites[i].ListSince(since[i])
+		if err == nil {
+			return d, nil
 		}
-	}
-	completed := fanout.Each(c.workers, c.siteDeadline, tasks)
+		if reps, lerr := sites[i].List(); lerr == nil {
+			return Delta{Changed: reps, Reset: true}, nil
+		}
+		return Delta{}, err
+	})
 
 	reachable := make([]API, 0, len(c.sites))
 	confirmedBy := make(map[string][]string) // dataset → sites observed holding it this round
@@ -302,7 +300,7 @@ func (c *Coordinator) Round() (planned, arrived int) {
 	allObserved := true
 	for i, s := range c.sites {
 		name := s.Name()
-		if !completed[i] || listings[i].err != nil {
+		if listings[i].Err != nil {
 			c.siteStats[name].Errors++
 			c.missed[name]++
 			allObserved = false
@@ -322,7 +320,7 @@ func (c *Coordinator) Round() (planned, arrived int) {
 		reachable = append(reachable, s)
 		// Materialize the site's inventory: from scratch on a Reset
 		// snapshot, else the carried view patched with the delta.
-		d := listings[i].delta
+		d := listings[i].Val
 		var seen map[string]Replica
 		if d.Reset {
 			seen = make(map[string]Replica, len(d.Changed))
@@ -585,14 +583,11 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 		}
 		return due[i].To < due[j].To
 	})
-	// jobs[i].err is written by the pool and read back only when
-	// completed[i] — the fanout package's happens-before discipline.
 	type job struct {
 		t       *Transfer
 		corrupt bool
 		src     API // corrupt: holder of the bad copy to drop
 		dst     API // healthy: destination to install at
-		err     error
 	}
 	jobs := make([]job, len(due))
 	for i, t := range due {
@@ -611,25 +606,19 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 	workers, deadline := c.workers, c.siteDeadline
 	c.mu.Unlock()
 
-	tasks := make([]func(), len(jobs))
-	for i := range jobs {
-		i := i
+	results := fanout.Each(workers, deadline, len(jobs), func(_ context.Context, i int) (struct{}, error) {
+		j, t := jobs[i], jobs[i].t
 		switch {
-		case jobs[i].corrupt && jobs[i].src != nil:
-			tasks[i] = func() { _ = jobs[i].src.Delete(jobs[i].t.Dataset) }
-		case !jobs[i].corrupt && jobs[i].dst != nil:
-			tasks[i] = func() {
-				t := jobs[i].t
-				jobs[i].err = jobs[i].dst.Put(Replica{
-					Dataset: t.Dataset, SizeBytes: t.Bytes,
-					Checksum: t.Checksum, Version: t.Version,
-				})
-			}
-		default:
-			tasks[i] = func() {}
+		case j.corrupt && j.src != nil:
+			_ = j.src.Delete(t.Dataset)
+		case !j.corrupt && j.dst != nil:
+			return struct{}{}, j.dst.Put(Replica{
+				Dataset: t.Dataset, SizeBytes: t.Bytes,
+				Checksum: t.Checksum, Version: t.Version,
+			})
 		}
-	}
-	completed := fanout.Each(workers, deadline, tasks)
+		return struct{}{}, nil
+	})
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -649,7 +638,7 @@ func (c *Coordinator) completeArrived(now sim.Time) int {
 			}
 		case jobs[i].dst == nil:
 			c.stats.Aborted++
-		case !completed[i] || jobs[i].err != nil:
+		case results[i].Err != nil:
 			if st, ok := c.siteStats[t.To]; ok {
 				st.Errors++
 			}
@@ -779,27 +768,20 @@ func (c *Coordinator) Stage(dataset, site string) (StageStatus, error) {
 		}
 	}
 	if src == nil {
-		type lookup struct {
-			r   Replica
-			err error
-		}
-		results := make([]lookup, len(c.sites))
-		tasks := make([]func(), len(c.sites))
-		for i, s := range c.sites {
-			i, s := i, s
-			if s.Name() == site {
-				tasks[i] = func() { results[i].err = ErrNoReplica }
-				continue
+		// Private copy: Detach rewrites c.sites in place, and a lookup cut
+		// off at its deadline may still be starting.
+		sites := append([]API(nil), c.sites...)
+		found := fanout.Each(c.workers, c.siteDeadline, len(sites), func(_ context.Context, i int) (Replica, error) {
+			if sites[i].Name() == site {
+				return Replica{}, ErrNoReplica
 			}
-			tasks[i] = func() { results[i].r, results[i].err = s.Get(dataset) }
-		}
-		completed := fanout.Each(c.workers, c.siteDeadline, tasks)
-		for i, s := range c.sites {
-			if s.Name() == site || !completed[i] || results[i].err != nil {
-				continue
+			return sites[i].Get(dataset)
+		})
+		for i, r := range found {
+			if r.Err == nil {
+				src, rep = sites[i], r.Val
+				break
 			}
-			src, rep = s, results[i].r
-			break
 		}
 	}
 	if src == nil {

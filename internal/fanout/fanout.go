@@ -1,80 +1,89 @@
-// Package fanout provides the bounded worker pool the federation's
-// coordinators push through: N tasks (one per site) run over at most
+// Package fanout provides the one round primitive the federation's
+// periodic services push through: N tasks (one per site) run over at most
 // `workers` goroutines, and each task gets a per-task wall deadline so one
-// hung site cannot eat the whole coordination interval (ROADMAP:
-// coordinator fan-out).
+// hung site may miss a round but never stall it (ROADMAP: coordinator
+// fan-out).
 //
-// The pool does not cancel an overrunning task — the targets' HTTP clients
-// carry their own timeouts — it merely stops waiting for it, reports it
-// incomplete, and moves on. An abandoned task finishes (or times out) in
-// the background; its effects on locked state are still safe, callers just
-// must tolerate "counted as missed, later completed anyway".
+// Each member settles exactly once per round. A task returns its value
+// instead of writing shared state, and the pool worker waiting on it is
+// the only writer of that member's Result: either the returned value or
+// ErrDeadline. The task's ctx is cancelled at the deadline, so a task that
+// honours it stops; one that does not finishes in the background, and its
+// late value has nowhere to land.
 package fanout
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"time"
 )
 
-// Each runs every task over at most workers goroutines, waiting up to
-// perTask of wall time for each. The returned slice reports, per task,
-// whether it completed within its deadline. perTask <= 0 means wait
-// forever; workers < 1 means one.
-func Each(workers int, perTask time.Duration, tasks []func()) []bool {
-	done := make([]bool, len(tasks))
-	if len(tasks) == 0 {
-		return done
+// ErrDeadline is the Err of a member whose task did not return before its
+// per-task deadline.
+var ErrDeadline = errors.New("fanout: task missed its deadline")
+
+// Result is one member's settlement: the task's value and error, or
+// ErrDeadline with the zero value.
+type Result[T any] struct {
+	Val T
+	Err error
+}
+
+// Each runs task(ctx, i) for every i in [0, n) over at most workers
+// goroutines and returns each member's Result, indexed by i. Each task
+// gets perTask of wall time; its ctx is cancelled when that passes.
+// perTask <= 0 means wait forever; workers < 1 means one.
+func Each[T any](workers int, perTask time.Duration, n int, task func(ctx context.Context, i int) (T, error)) []Result[T] {
+	results := make([]Result[T], n)
+	if n == 0 {
+		return results
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
+	if workers > n {
+		workers = n
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	var mu sync.Mutex // covers done: abandoned tasks may report late
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				runOne(i, perTask, tasks[i], done, &mu)
+				results[i] = runOne(perTask, i, task)
 			}
 		}()
 	}
-	for i := range tasks {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	// Snapshot under the lock: a task abandoned at its deadline may still
-	// be writing its completion bit.
-	mu.Lock()
-	out := append([]bool(nil), done...)
-	mu.Unlock()
-	return out
+	return results
 }
 
-// runOne executes one task, abandoning the wait (not the task) when the
-// deadline passes.
-func runOne(i int, perTask time.Duration, task func(), done []bool, mu *sync.Mutex) {
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		task()
-		mu.Lock()
-		done[i] = true
-		mu.Unlock()
-	}()
+// runOne runs one task under its deadline and settles it: the value if
+// the task returned before the deadline, else ErrDeadline.
+func runOne[T any](perTask time.Duration, i int, task func(context.Context, int) (T, error)) Result[T] {
 	if perTask <= 0 {
-		<-finished
-		return
+		v, err := task(context.Background(), i)
+		return Result[T]{Val: v, Err: err}
 	}
-	timer := time.NewTimer(perTask)
-	defer timer.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), perTask)
+	defer cancel()
+	done := make(chan Result[T], 1) // buffered: a late task must not block
+	go func() {
+		v, err := task(ctx, i)
+		done <- Result[T]{Val: v, Err: err}
+	}()
 	select {
-	case <-finished:
-	case <-timer.C:
+	case r := <-done:
+		if ctx.Err() == nil {
+			return r
+		}
+	case <-ctx.Done():
 	}
+	return Result[T]{Err: ErrDeadline}
 }

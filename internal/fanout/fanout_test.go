@@ -1,6 +1,8 @@
 package fanout
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,17 +11,16 @@ import (
 
 func TestEachRunsEveryTask(t *testing.T) {
 	var ran int64
-	tasks := make([]func(), 50)
-	for i := range tasks {
-		tasks[i] = func() { atomic.AddInt64(&ran, 1) }
-	}
-	done := Each(8, 0, tasks)
+	res := Each(8, 0, 50, func(_ context.Context, i int) (int, error) {
+		atomic.AddInt64(&ran, 1)
+		return i * i, nil
+	})
 	if ran != 50 {
 		t.Fatalf("ran %d tasks, want 50", ran)
 	}
-	for i, ok := range done {
-		if !ok {
-			t.Fatalf("task %d reported incomplete", i)
+	for i, r := range res {
+		if r.Err != nil || r.Val != i*i {
+			t.Fatalf("task %d settled %+v, want %d", i, r, i*i)
 		}
 	}
 }
@@ -28,20 +29,17 @@ func TestEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak int64
 	var mu sync.Mutex
-	tasks := make([]func(), 20)
-	for i := range tasks {
-		tasks[i] = func() {
-			n := atomic.AddInt64(&cur, 1)
-			mu.Lock()
-			if n > peak {
-				peak = n
-			}
-			mu.Unlock()
-			time.Sleep(2 * time.Millisecond)
-			atomic.AddInt64(&cur, -1)
+	Each(workers, 0, 20, func(context.Context, int) (struct{}, error) {
+		n := atomic.AddInt64(&cur, 1)
+		mu.Lock()
+		if n > peak {
+			peak = n
 		}
-	}
-	Each(workers, 0, tasks)
+		mu.Unlock()
+		time.Sleep(2 * time.Millisecond)
+		atomic.AddInt64(&cur, -1)
+		return struct{}{}, nil
+	})
 	mu.Lock()
 	defer mu.Unlock()
 	if peak > workers {
@@ -49,42 +47,64 @@ func TestEachBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// TestEachAbandonsOverrunningTask: the overrunning member settles as
+// ErrDeadline while its fast sibling keeps its value; the slow task's ctx
+// is Done at the deadline; and the value it returns afterwards never
+// reaches the returned slice.
 func TestEachAbandonsOverrunningTask(t *testing.T) {
+	const deadline = 20 * time.Millisecond
 	release := make(chan struct{})
-	var slowFinished int64
-	tasks := []func(){
-		func() { <-release; atomic.AddInt64(&slowFinished, 1) },
-		func() {},
-	}
+	cancelled := make(chan time.Duration, 1)
+	returned := make(chan struct{})
 	start := time.Now()
-	done := Each(2, 20*time.Millisecond, tasks)
+	res := Each(2, deadline, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 1 {
+			return 7, nil
+		}
+		<-ctx.Done()
+		cancelled <- time.Since(start)
+		<-release
+		defer close(returned)
+		return 42, nil
+	})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Each blocked %v on a hung task", elapsed)
 	}
-	if done[0] {
-		t.Fatal("hung task reported complete")
+	if !errors.Is(res[0].Err, ErrDeadline) || res[0].Val != 0 {
+		t.Fatalf("hung task settled %+v, want ErrDeadline", res[0])
 	}
-	if !done[1] {
-		t.Fatal("fast task reported incomplete")
+	if res[1].Err != nil || res[1].Val != 7 {
+		t.Fatalf("fast task settled %+v, want 7", res[1])
 	}
-	// The abandoned task still runs to completion in the background.
-	close(release)
-	deadline := time.Now().Add(2 * time.Second)
-	for atomic.LoadInt64(&slowFinished) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned task never finished")
+	select {
+	case at := <-cancelled:
+		if at < deadline {
+			t.Fatalf("ctx cancelled after %v, before the %v deadline", at, deadline)
 		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(2 * time.Second):
+		t.Fatal("overrunning task's ctx was never cancelled")
+	}
+	// The late return has nowhere to land: the slice Each returned keeps
+	// the deadline settlement.
+	close(release)
+	<-returned
+	if !errors.Is(res[0].Err, ErrDeadline) || res[0].Val != 0 {
+		t.Fatalf("late return leaked into the results: %+v", res[0])
 	}
 }
 
 func TestEachEmptyAndSmall(t *testing.T) {
-	if got := Each(4, 0, nil); len(got) != 0 {
-		t.Fatalf("Each(nil) = %v", got)
+	never := func(context.Context, int) (bool, error) {
+		t.Error("task run for n = 0")
+		return false, nil
+	}
+	if got := Each(4, 0, 0, never); len(got) != 0 {
+		t.Fatalf("Each(n=0) = %v", got)
 	}
 	// More workers than tasks, and a non-positive worker count.
 	ran := false
-	if got := Each(0, 0, []func(){func() { ran = true }}); !got[0] || !ran {
+	got := Each(0, 0, 1, func(context.Context, int) (bool, error) { ran = true; return true, nil })
+	if len(got) != 1 || !got[0].Val || got[0].Err != nil || !ran {
 		t.Fatalf("single task not run: %v", got)
 	}
 }

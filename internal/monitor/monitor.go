@@ -10,7 +10,7 @@
 package monitor
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -28,9 +28,9 @@ import (
 const pollWorkers = 8
 
 // pollDeadline is the wall budget one agent sweep or cloud sample gets
-// before the poll abandons the wait (half the Remote transport's own
-// timeout). Abandoned polls surface in the error counters; late results
-// are discarded.
+// before the poll stops waiting for it (half the Remote transport's own
+// timeout). Late polls surface in the error counters; their results are
+// never applied.
 const pollDeadline = cloudapi.DefaultTimeout / 2
 
 // State is a Nagios check state.
@@ -189,60 +189,48 @@ func (m *Master) pollAll() {
 	for h := range m.agents {
 		hosts = append(hosts, h)
 	}
-	m.mu.Unlock()
 	sort.Strings(hosts)
+	agents := make([]*Agent, len(hosts))
+	for i, h := range hosts {
+		agents[i] = m.agents[h]
+	}
+	m.mu.Unlock()
 	now := m.engine.Now()
 
 	// One task per agent host: the whole sweep runs outside m.mu (plugins
 	// reach into other subsystems — disk models, clouds — with locks of
 	// their own) and the hosts fan out over the bounded pool so one slow
-	// plugin does not serialize every other host's sweep. Results land in
-	// per-host slots; state transitions and alerts are then applied on
-	// this goroutine in sorted host order, so the alert log stays
-	// deterministic regardless of which host finished first.
+	// plugin does not serialize every other host's sweep. Each host's
+	// results settle once, as the task's return value; state transitions
+	// and alerts are then applied on this goroutine in sorted host order,
+	// so the alert log stays deterministic regardless of which host
+	// finished first.
 	type result struct {
 		name  string
 		state State
 		value float64
 	}
-	type slot struct {
-		mu  sync.Mutex // an abandoned sweep may write late
-		res []result
-	}
-	slots := make([]slot, len(hosts))
-	tasks := make([]func(), len(hosts))
-	for i, h := range hosts {
-		m.mu.Lock()
-		a := m.agents[h]
-		m.mu.Unlock()
-		i, a := i, a
-		tasks[i] = func() {
-			names := a.CheckNames()
-			res := make([]result, 0, len(names))
-			for _, name := range names {
-				st, v, err := a.RunCheck(name)
-				if err != nil {
-					st = StateUnknown
-				}
-				res = append(res, result{name: name, state: st, value: v})
+	sweeps := fanout.Each(pollWorkers, m.deadline, len(agents), func(_ context.Context, i int) ([]result, error) {
+		a := agents[i]
+		names := a.CheckNames()
+		res := make([]result, 0, len(names))
+		for _, name := range names {
+			st, v, err := a.RunCheck(name)
+			if err != nil {
+				st = StateUnknown
 			}
-			slots[i].mu.Lock()
-			slots[i].res = res
-			slots[i].mu.Unlock()
+			res = append(res, result{name: name, state: st, value: v})
 		}
-	}
-	completed := fanout.Each(pollWorkers, m.deadline, tasks)
+		return res, nil
+	})
 
 	var fired []Alert
 	for i, h := range hosts {
-		if !completed[i] {
+		if sweeps[i].Err != nil {
 			atomic.AddInt64(&m.PollsAbandoned, 1)
 			continue
 		}
-		slots[i].mu.Lock()
-		res := slots[i].res
-		slots[i].mu.Unlock()
-		for _, r := range res {
+		for _, r := range sweeps[i].Val {
 			key := h + "/" + r.name
 			m.mu.Lock()
 			m.ChecksRun++
@@ -312,51 +300,10 @@ type UsageMonitor struct {
 	// pollDeadline. Set during setup (SetPollDeadline).
 	deadline time.Duration
 
-	// The reused delta-sampling machinery, mirroring billing.Biller: slots
-	// and tasks are built once at construction (no per-tick allocation),
 	// prior holds each cloud's maintained per-user snapshot and next-poll
-	// revision (clock goroutine only), and gen stamps each sweep so an
-	// abandoned task cannot write a stale result into a later sweep.
-	slots []sampleSlot
-	tasks []func()
-	prior []cloudUsageState
-	gen   uint64
+	// revision, mirroring billing.Biller (clock goroutine only).
+	prior []cloudapi.UsageView
 }
-
-// sampleSlot is one cloud's reused result cell; the mutex guards against
-// a late write from an abandoned sample, the gen match discards it.
-type sampleSlot struct {
-	mu    sync.Mutex
-	gen   uint64
-	since int64
-	d     cloudapi.UsageDelta
-	err   error
-}
-
-// cloudUsageState is one cloud's maintained usage snapshot under delta
-// polling. Only the clock-driving goroutine touches it.
-type cloudUsageState struct {
-	since  int64
-	byUser map[string]cloudapi.UserUsage
-}
-
-// apply folds a delta into the snapshot.
-func (st *cloudUsageState) apply(d cloudapi.UsageDelta) {
-	if d.Reset || st.byUser == nil {
-		st.byUser = make(map[string]cloudapi.UserUsage, len(d.Changed))
-	}
-	for user, v := range d.Changed {
-		st.byUser[user] = v
-	}
-	for _, user := range d.Removed {
-		delete(st.byUser, user)
-	}
-	st.since = d.Rev
-}
-
-// errSampleAbandoned pre-fills a slot each sweep so a slot whose task
-// never ran reads as a failure, never as a stale success.
-var errSampleAbandoned = errors.New("monitor: sample abandoned before the cloud answered")
 
 // NewUsageMonitor starts sampling every interval.
 func NewUsageMonitor(e *sim.Engine, clouds []cloudapi.CloudAPI, interval sim.Duration) *UsageMonitor {
@@ -366,24 +313,7 @@ func NewUsageMonitor(e *sim.Engine, clouds []cloudapi.CloudAPI, interval sim.Dur
 	for _, c := range clouds {
 		um.errByCloud[c.Name()] = new(int64)
 	}
-	um.slots = make([]sampleSlot, len(clouds))
-	um.prior = make([]cloudUsageState, len(clouds))
-	um.tasks = make([]func(), len(clouds))
-	for i, c := range clouds {
-		i, c := i, c
-		um.tasks[i] = func() {
-			s := &um.slots[i]
-			s.mu.Lock()
-			gen, since := s.gen, s.since
-			s.mu.Unlock()
-			d, err := c.UsageSince(since)
-			s.mu.Lock()
-			if s.gen == gen { // a later sweep may have re-armed the slot
-				s.d, s.err = d, err
-			}
-			s.mu.Unlock()
-		}
-	}
+	um.prior = make([]cloudapi.UsageView, len(clouds))
 	um.ticker = e.Every(interval, um.sample)
 	return um
 }
@@ -404,47 +334,39 @@ func (um *UsageMonitor) SampleErrorsByCloud() map[string]int64 {
 
 // sample queries every cloud concurrently through the bounded pool —
 // sample fires on the clock-driving goroutine, and one hung remote site
-// polled serially would stall the clock for every site behind it. A
-// sample that misses the per-poll deadline counts against that cloud in
-// SampleErrorsByCloud; its late result is discarded.
-// The sweep polls incrementally: each task asks UsageSince(prior rev)
-// and the clock goroutine folds the churn into the cloud's maintained
-// snapshot before summarizing it — the same delta path the biller uses,
-// so a steady-state sweep ships empty deltas, not full per-user maps.
+// polled serially would stall the clock for every site behind it. Each
+// cloud's sample settles once per sweep (fanout.Each); one that misses
+// the per-poll deadline counts against that cloud in SampleErrorsByCloud
+// and is never applied.
+// The sweep polls incrementally: each task asks UsageSince(prior rev),
+// read from a copy taken before the round, and the clock goroutine folds
+// the churn into the cloud's maintained snapshot before summarizing it —
+// the same delta path the biller uses, so a steady-state sweep ships
+// empty deltas, not full per-user maps.
 func (um *UsageMonitor) sample() {
 	now := um.engine.Now()
-	um.gen++
-	for i := range um.slots {
-		s := &um.slots[i]
-		s.mu.Lock()
-		s.gen, s.since = um.gen, um.prior[i].since
-		s.err = errSampleAbandoned
-		s.mu.Unlock()
+	since := make([]int64, len(um.prior))
+	for i := range um.prior {
+		since[i] = um.prior[i].Rev
 	}
-	completed := fanout.Each(pollWorkers, um.deadline, um.tasks)
+	results := fanout.Each(pollWorkers, um.deadline, len(um.clouds), func(_ context.Context, i int) (cloudapi.UsageDelta, error) {
+		return um.clouds[i].UsageSince(since[i])
+	})
 	for i, c := range um.clouds {
-		if !completed[i] {
+		if results[i].Err != nil {
 			atomic.AddInt64(&um.SampleErrors, 1)
 			atomic.AddInt64(um.errByCloud[c.Name()], 1)
 			continue
 		}
-		s := &um.slots[i]
-		s.mu.Lock()
-		d, err := s.d, s.err
-		s.mu.Unlock()
-		if err != nil {
-			atomic.AddInt64(&um.SampleErrors, 1)
-			atomic.AddInt64(um.errByCloud[c.Name()], 1)
-			continue
-		}
+		d := results[i].Val
 		st := &um.prior[i]
-		st.apply(d)
+		st.Apply(d)
 		snap := UsageSnapshot{
 			At: now, Cloud: c.Name(),
 			UsedCores: d.UsedCores, TotalCores: d.TotalCores,
-			ActiveUsers: len(st.byUser),
+			ActiveUsers: len(st.ByUser),
 		}
-		for _, v := range st.byUser {
+		for _, v := range st.ByUser {
 			snap.RunningVMs += v.Instances
 		}
 		um.mu.Lock()

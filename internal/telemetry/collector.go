@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,7 +24,7 @@ type Member struct {
 type MemberStats struct {
 	Member  string
 	Scrapes int64 // successful scrape rounds
-	Errors  int64 // unreachable, non-200, unparseable, or abandoned at deadline
+	Errors  int64 // unreachable, non-200, unparseable, or past its deadline
 	Series  int   // series count in the last successful scrape
 }
 
@@ -75,31 +76,31 @@ func NewCollector(secret string, client *http.Client, members ...Member) *Collec
 	return c
 }
 
-// Round runs one synchronous scrape sweep over every member. Each scrape
-// settles exactly once per round: a goroutine still running when the
-// fanout deadline passes is counted as an error here, and if it later
-// finishes anyway its result is discarded — never one error plus one
-// success for the same member in the same round. Both sides settle under
-// c.mu, so whichever gets there first wins.
+// Round runs one synchronous scrape sweep over every member, then folds
+// the results in under c.mu. Each member settles exactly once per round:
+// its parsed series count one scrape, and a failure or a missed deadline
+// counts one error. A scrape still running at the deadline has its
+// request cancelled.
 func (c *Collector) Round() {
 	c.mu.Lock()
 	deadline := c.deadline
 	c.mu.Unlock()
-	settled := make([]bool, len(c.members)) // guarded by c.mu
-	tasks := make([]func(), len(c.members))
-	for i, m := range c.members {
-		i, m := i, m
-		tasks[i] = func() { c.scrapeOne(m, &settled[i]) }
-	}
-	completed := fanout.Each(c.workers, deadline, tasks)
+	results := fanout.Each(c.workers, deadline, len(c.members), func(ctx context.Context, i int) (map[string]float64, error) {
+		return c.scrape(ctx, c.members[i])
+	})
 	c.mu.Lock()
-	for i, ok := range completed {
-		if !ok && !settled[i] {
-			settled[i] = true
-			c.stats[c.members[i].Name].Errors++
+	defer c.mu.Unlock()
+	for i, r := range results {
+		name := c.members[i].Name
+		st := c.stats[name]
+		if r.Err != nil {
+			st.Errors++
+			continue
 		}
+		c.data[name] = r.Val
+		st.Scrapes++
+		st.Series = len(r.Val)
 	}
-	c.mu.Unlock()
 }
 
 // Start begins scraping every interval of wall time (<= 0 means 1 s)
@@ -150,60 +151,29 @@ func (c *Collector) Stop() {
 	}
 }
 
-// scrapeOne GETs one member's /metrics and folds the parse into the view.
-// settled is this scrape's per-round token (see Round); every outcome is
-// recorded through it so an abandoned scrape that limps in late is a
-// no-op rather than a second count.
-func (c *Collector) scrapeOne(m Member, settled *bool) {
-	req, err := http.NewRequest(http.MethodGet, m.URL+"/metrics", nil)
+// scrape GETs one member's /metrics and returns the parsed series.
+func (c *Collector) scrape(ctx context.Context, m Member) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.URL+"/metrics", nil)
 	if err != nil {
-		c.countError(m.Name, settled)
-		return
+		return nil, err
 	}
 	if c.secret != "" {
 		req.Header.Set("X-OSDC-Operator", c.secret)
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.countError(m.Name, settled)
-		return
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.Copy(io.Discard, resp.Body)
-		c.countError(m.Name, settled)
-		return
+		return nil, fmt.Errorf("telemetry: %s /metrics returned %d", m.Name, resp.StatusCode)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		c.countError(m.Name, settled)
-		return
+		return nil, err
 	}
-	parsed, err := ParseText(body)
-	if err != nil {
-		c.countError(m.Name, settled)
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if *settled {
-		return
-	}
-	*settled = true
-	c.data[m.Name] = parsed
-	st := c.stats[m.Name]
-	st.Scrapes++
-	st.Series = len(parsed)
-}
-
-func (c *Collector) countError(name string, settled *bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if *settled {
-		return
-	}
-	*settled = true
-	c.stats[name].Errors++
+	return ParseText(body)
 }
 
 // Snapshot returns the aggregated federation view: every member's series

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // memberServer stands up one fake federation member: a registry behind a
@@ -88,6 +90,44 @@ func TestCollectorCountsErrors(t *testing.T) {
 	}
 	if snap := c.Snapshot(); snap[`osdc_ok_total{member="up"}`] != 1 {
 		t.Errorf("healthy member data missing: %v", snap)
+	}
+}
+
+// TestCollectorCancelsHungMember: a member whose /metrics never answers
+// has its request cancelled at the scrape deadline, not left to the
+// client's 10 s timeout; it counts one error; and every goroutine the
+// round started exits.
+func TestCollectorCancelsHungMember(t *testing.T) {
+	const deadline, slack = 100 * time.Millisecond, 500 * time.Millisecond
+	cancelled := make(chan time.Duration, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		<-r.Context().Done()
+		cancelled <- time.Since(start)
+	}))
+	defer hung.Close()
+	c := NewCollector("", nil, Member{Name: "hung", URL: hung.URL})
+	c.mu.Lock()
+	c.deadline = deadline
+	c.mu.Unlock()
+	base := runtime.NumGoroutine()
+
+	c.Round()
+	select {
+	case waited := <-cancelled:
+		if waited > deadline+slack {
+			t.Errorf("scrape cancelled after %v, want within %v", waited, deadline+slack)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("hung scrape was never cancelled")
+	}
+	if st := c.Stats()[0]; st.Errors != 1 || st.Scrapes != 0 {
+		t.Errorf("hung member = %+v, want 1 error, 0 scrapes", st)
+	}
+	for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d goroutines after the round, baseline %d", runtime.NumGoroutine(), base)
+		}
 	}
 }
 
